@@ -1,6 +1,6 @@
 use crate::{Layer, Mode, NnError, Param, Result};
-use nds_tensor::conv::{col2im_image, conv2d_ws, im2col_image, ConvGeometry};
-use nds_tensor::ops::{gemm_acc, gemm_transa, gemm_transb_acc};
+use nds_tensor::conv::{col2im_image, conv2d_keep_patches, conv2d_ws, ConvGeometry};
+use nds_tensor::ops::{gemm_transa, gemm_transb_acc};
 use nds_tensor::parallel::worker_count;
 use nds_tensor::rng::Rng64;
 use nds_tensor::{Shape, Tensor, TensorError, Workspace};
@@ -8,9 +8,9 @@ use nds_tensor::{Shape, Tensor, TensorError, Workspace};
 /// 2-D convolution layer with optional bias.
 ///
 /// Weights have shape `[out_channels, in_channels, k, k]` and are
-/// He-initialised. The forward pass lowers per image onto the blocked
-/// parallel gemm (the same dataflow the `nds-hw` accelerator model
-/// assumes), with im2col scratch recycled through a private
+/// He-initialised. The forward pass lowers onto im2col + gemm (the same
+/// dataflow the `nds-hw` accelerator model assumes), with the batch split
+/// across the worker pool by image and the im2col scratch drawn from a
 /// [`Workspace`] so steady-state forwards allocate only the output.
 ///
 /// The im2col patches are cached for the backward pass **only in
@@ -117,42 +117,27 @@ impl Layer for Conv2d {
         if let Some(old) = self.cache.take() {
             self.workspace.recycle(old.cols);
         }
-        // Training: unroll each image once into the (pooled, image-major)
-        // patch cache and gemm straight from it — the same kernel and
-        // accumulation order as conv2d_ws, so outputs are bit-identical
-        // across modes — then keep the patches for the weight gradient.
+        // Training: the same lowering as conv2d_ws (so outputs are
+        // bit-identical across modes), except that each image keeps its
+        // own slab of the (pooled, image-major) patch buffer, which the
+        // weight gradient reads in backward.
         let out_shape = self.out_shape(input.shape())?;
-        let (n, c, h, w) = input
-            .shape()
-            .as_nchw()
-            .expect("out_shape validated a rank-4 input");
-        let g = self.geometry;
-        let oc = self.out_channels;
-        let ckk = c * g.kernel * g.kernel;
-        let spatial = g.out_dim(h) * g.out_dim(w);
-        let per_image = ckk * spatial;
-        let x = input.as_slice();
-        let wt = self.weight.value.as_slice();
-        let bias = self.bias.as_ref().map(|b| b.value.as_slice());
-        let workers = worker_count();
-        let mut cols = self.workspace.take_dirty(n * per_image);
-        let mut out = vec![0.0f32; n * oc * spatial];
-        for ni in 0..n {
-            let slab = &mut cols[ni * per_image..(ni + 1) * per_image];
-            im2col_image(&x[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, g, slab);
-            let orow = &mut out[ni * oc * spatial..(ni + 1) * oc * spatial];
-            if let Some(b) = bias {
-                for (o, row) in orow.chunks_mut(spatial).enumerate() {
-                    row.fill(b[o]);
-                }
-            }
-            gemm_acc(wt, slab, oc, ckk, spatial, orow, workers);
-        }
+        let k = self.geometry.kernel;
+        let per_image = self.in_channels * k * k * out_shape.dim(2) * out_shape.dim(3);
+        let mut cols = self.workspace.take_dirty(out_shape.dim(0) * per_image);
+        let out = conv2d_keep_patches(
+            input,
+            &self.weight.value,
+            self.bias.as_ref().map(|b| &*b.value),
+            self.geometry,
+            &mut cols,
+            worker_count(),
+        )?;
         self.cache = Some(Cache {
             cols,
             input_shape: input.shape().clone(),
         });
-        Tensor::from_vec(out, out_shape).map_err(NnError::from)
+        Ok(out)
     }
 
     fn forward_mc_fused(

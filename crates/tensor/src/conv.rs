@@ -8,21 +8,24 @@
 //!
 //! # Performance notes
 //!
-//! [`conv2d`] lowers **per image** onto the cache-blocked, row-parallel
-//! [`crate::ops::gemm_acc`] kernel: for each batch item the `[C·K·K, OH·OW]`
-//! patch matrix is materialised once into a [`Workspace`]-pooled scratch
-//! buffer and multiplied against the weight matrix directly into that
-//! image's `[OC, OH·OW]` output slab. Compared to the earlier whole-batch
-//! lowering this
+//! [`conv2d`] lowers **per image** onto the cache-blocked
+//! [`crate::ops::gemm_acc`] kernel: each batch item's `[C·K·K, OH·OW]`
+//! patch matrix is materialised into a [`Workspace`]-pooled scratch slab
+//! and multiplied against the weight matrix directly into that image's
+//! `[OC, OH·OW]` output slab, already in NCHW layout. The scratch holds
+//! one image per task, so it stays cache-resident, and warm forwards
+//! allocate no scratch.
 //!
-//! * keeps the im2col scratch at one image (`C·K·K·OH·OW` floats) instead
-//!   of the whole batch, so it stays cache-resident and is recycled across
-//!   images and forward passes (steady-state forwards allocate only the
-//!   output),
-//! * writes gemm results straight into NCHW layout — the old
-//!   `[OC, N·OH·OW] → [N, OC, OH, OW]` rearrangement pass is gone,
-//! * parallelises over output-channel rows inside the gemm, which for the
-//!   VGG/ResNet-scale layers (64–512 channels) saturates the worker pool.
+//! The batch is split across the worker pool **by image**: one pool batch
+//! per conv call, each task owning a contiguous range of images and its
+//! own patch slab, running im2col and a serial gemm for each. The task
+//! count follows the gemm kernels' ~64k-MAC per-task floor, so small
+//! convs stay on the caller's thread. Only a batch that fits one task
+//! (an n = 1 call, say) splits each image's gemm by output-channel row
+//! instead. A row split of every image's gemm would leave im2col serial
+//! on the caller and pay one pool round trip per image; on a 2-core host
+//! that made most ResNet18-w8 conv shapes slower with two workers than
+//! with one.
 //!
 //! The bias is folded in by seeding each output row before accumulation,
 //! and accumulation order over `(channel, ky, kx)` is fixed and ascending,
@@ -30,8 +33,8 @@
 //! to the naive [`conv2d_direct`] oracle (property-tested in
 //! `tests/conv_props.rs`).
 
-use crate::ops::gemm_acc;
-use crate::parallel::worker_count;
+use crate::ops::{gemm_acc, rows_per_task};
+use crate::parallel::{run_scoped, worker_count};
 use crate::{Result, Shape, Tensor, TensorError, Workspace};
 
 /// Spatial geometry of a convolution or pooling window.
@@ -82,13 +85,34 @@ impl ConvGeometry {
     }
 }
 
+/// The output positions `o` in `0..out_len` whose input tap
+/// `o·stride + tap − padding` lands inside `0..in_len`, as a half-open
+/// range `lo..hi` (empty when `lo == hi`). Positions outside it read
+/// padding.
+fn valid_range(out_len: usize, in_len: usize, tap: usize, g: ConvGeometry) -> (usize, usize) {
+    let lo = g
+        .padding
+        .saturating_sub(tap)
+        .div_ceil(g.stride)
+        .min(out_len);
+    let hi = if in_len + g.padding > tap {
+        ((in_len + g.padding - tap - 1) / g.stride + 1).min(out_len)
+    } else {
+        0
+    };
+    (lo, hi.max(lo))
+}
+
 /// Unrolls one `[C, H, W]` image into an im2col patch matrix on raw
 /// slices: `out` receives `[C*K*K, OH*OW]` row-major, every element
 /// written (padded positions as zero).
 ///
 /// This is the per-image building block [`conv2d`] loops over; the
 /// whole-batch [`im2col`] remains for callers that need the batched
-/// layout.
+/// layout. Each `(ky, kx)` row's in-bounds output range is computed once:
+/// the padded edges are zero-filled and the interior is copied — a slice
+/// copy at stride 1, a strided gather otherwise — with no per-element
+/// bounds test.
 ///
 /// # Panics
 ///
@@ -103,24 +127,31 @@ pub fn im2col_image(img: &[f32], c: usize, h: usize, w: usize, g: ConvGeometry, 
     for ci in 0..c {
         let chan = &img[ci * h * w..(ci + 1) * h * w];
         for ky in 0..k {
+            let (oy_lo, oy_hi) = valid_range(oh, h, ky, g);
             for kx in 0..k {
+                let (ox_lo, ox_hi) = valid_range(ow, w, kx, g);
                 let row = (ci * k + ky) * k + kx;
                 let orow = &mut out[row * oh * ow..(row + 1) * oh * ow];
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + ky) as isize - g.padding as isize;
+                orow[..oy_lo * ow].fill(0.0);
+                orow[oy_hi * ow..].fill(0.0);
+                for oy in oy_lo..oy_hi {
+                    let iy = oy * g.stride + ky - g.padding;
+                    let src = &chan[iy * w..(iy + 1) * w];
                     let dst = &mut orow[oy * ow..(oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        dst.fill(0.0);
+                    dst[..ox_lo].fill(0.0);
+                    dst[ox_hi..].fill(0.0);
+                    if ox_lo == ox_hi {
                         continue;
                     }
-                    let src = &chan[iy as usize * w..(iy as usize + 1) * w];
-                    for (ox, d) in dst.iter_mut().enumerate() {
-                        let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                        *d = if ix < 0 || ix >= w as isize {
-                            0.0
-                        } else {
-                            src[ix as usize]
-                        };
+                    let ix0 = ox_lo * g.stride + kx - g.padding;
+                    let interior = &mut dst[ox_lo..ox_hi];
+                    if g.stride == 1 {
+                        interior.copy_from_slice(&src[ix0..ix0 + interior.len()]);
+                    } else {
+                        for (d, &v) in interior.iter_mut().zip(src[ix0..].iter().step_by(g.stride))
+                        {
+                            *d = v;
+                        }
                     }
                 }
             }
@@ -287,14 +318,42 @@ pub fn col2im(cols: &Tensor, input_shape: &Shape, g: ConvGeometry) -> Result<Ten
     Tensor::from_vec(out, input_shape.clone())
 }
 
-/// Validates conv2d operand shapes, returning
-/// `(n, c, h, w, oc, oh, ow)`.
+/// Operand and output dimensions of one validated conv call.
+struct ConvDims {
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    oc: usize,
+    oh: usize,
+    ow: usize,
+    g: ConvGeometry,
+}
+
+impl ConvDims {
+    /// Output positions per channel, `OH·OW`.
+    fn spatial(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Floats in one image's `[C·K·K, OH·OW]` patch matrix.
+    fn patch_len(&self) -> usize {
+        self.c * self.g.kernel * self.g.kernel * self.spatial()
+    }
+
+    /// Floats in the `[N, OC, OH, OW]` output.
+    fn out_len(&self) -> usize {
+        self.n * self.oc * self.spatial()
+    }
+}
+
+/// Validates conv2d operand shapes.
 fn conv2d_check(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     g: ConvGeometry,
-) -> Result<(usize, usize, usize, usize, usize, usize, usize)> {
+) -> Result<ConvDims> {
     let (n, c, h, w) = input.shape().as_nchw().ok_or(TensorError::RankMismatch {
         op: "conv2d",
         expected: 4,
@@ -332,14 +391,24 @@ fn conv2d_check(
             ),
         });
     }
-    Ok((n, c, h, w, oc, oh, ow))
+    Ok(ConvDims {
+        n,
+        c,
+        h,
+        w,
+        oc,
+        oh,
+        ow,
+        g,
+    })
 }
 
 /// 2-D convolution: weights `[OC, C, K, K]`, input `[N, C, H, W]`,
 /// optional bias `[OC]`, producing `[N, OC, OH, OW]`.
 ///
-/// Lowered per image through [`im2col_image`] + the blocked parallel
-/// [`gemm_acc`] kernel (see the module docs). Equivalent to
+/// Lowered per image through [`im2col_image`] + the blocked
+/// [`gemm_acc`] kernel, the batch split across the pool by image (see
+/// the module docs). Equivalent to
 /// [`conv2d_ws`] with a throwaway [`Workspace`]; hot loops should call
 /// that directly so the im2col scratch is reused across calls.
 ///
@@ -355,9 +424,9 @@ pub fn conv2d(
     conv2d_ws(input, weight, bias, g, &mut Workspace::new())
 }
 
-/// [`conv2d`] with an explicit scratch [`Workspace`]: the per-image
-/// im2col buffer is taken from (and returned to) the pool, so repeated
-/// forwards allocate nothing beyond the output tensor.
+/// [`conv2d`] with an explicit scratch [`Workspace`]: the im2col scratch
+/// and the output are taken from the pool, so once the caller recycles
+/// consumed outputs, repeated forwards allocate no buffers.
 ///
 /// Accumulation order per output element is fixed (bias seed, then
 /// `(channel, ky, kx)` ascending), so results are bit-identical across
@@ -373,45 +442,170 @@ pub fn conv2d_ws(
     g: ConvGeometry,
     workspace: &mut Workspace,
 ) -> Result<Tensor> {
-    let (n, c, h, w, oc, oh, ow) = conv2d_check(input, weight, bias, g)?;
-    let k = g.kernel;
-    let ckk = c * k * k;
-    let spatial = oh * ow;
-    let x = input.as_slice();
-    let wt = weight.as_slice();
-    let bias = bias.map(|b| b.as_slice());
-    let workers = worker_count();
-    let mut cols = workspace.take_dirty(ckk * spatial);
+    conv2d_ws_workers(input, weight, bias, g, workspace, worker_count())
+}
+
+/// [`conv2d_ws`] with an explicit split factor: the batch is split into
+/// at most `workers` tasks of contiguous images (see the module docs).
+/// The output bytes do not depend on `workers`.
+///
+/// # Errors
+///
+/// Returns shape errors when operand dimensions are inconsistent.
+pub fn conv2d_ws_workers(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    g: ConvGeometry,
+    workspace: &mut Workspace,
+    workers: usize,
+) -> Result<Tensor> {
+    let d = conv2d_check(input, weight, bias, g)?;
+    let plan = Lowering::new(&d, workers, false);
+    let mut cols = workspace.take_dirty(plan.cols_len(&d));
     // The output buffer also comes from the pool: under the Workspace
     // ownership contract the caller recycles consumed activations, so
     // steady-state forwards cycle the same buffers instead of draining
     // the pool. With a bias, every output row is seeded before the gemm
     // accumulates, so the zero-fill can be skipped entirely.
     let mut out = if bias.is_some() {
-        workspace.take_dirty(n * oc * spatial)
+        workspace.take_dirty(d.out_len())
     } else {
-        workspace.take(n * oc * spatial)
+        workspace.take(d.out_len())
     };
-    for ni in 0..n {
-        im2col_image(
-            &x[ni * c * h * w..(ni + 1) * c * h * w],
-            c,
-            h,
-            w,
-            g,
-            &mut cols,
-        );
-        let slab = &mut out[ni * oc * spatial..(ni + 1) * oc * spatial];
-        if let Some(b) = bias {
-            for (o, row) in slab.chunks_mut(spatial).enumerate() {
-                row.fill(b[o]);
-            }
-        }
-        // [OC, CKK] × [CKK, OH·OW] accumulated straight into the NCHW slab.
-        gemm_acc(wt, &cols, oc, ckk, spatial, slab, workers);
-    }
+    lower_batch(input, weight, bias, &d, &plan, &mut cols, &mut out);
     workspace.recycle(cols);
-    Tensor::from_vec(out, Shape::d4(n, oc, oh, ow))
+    Tensor::from_vec(out, Shape::d4(d.n, d.oc, d.oh, d.ow))
+}
+
+/// [`conv2d_ws_workers`] that keeps every image's patches, for a training
+/// forward whose backward needs them: `patches` (`N·C·K·K·OH·OW` floats,
+/// contents unspecified on entry) receives the `N` per-image
+/// `[C·K·K, OH·OW]` im2col matrices, image-major. Same lowering, same
+/// bytes; the output is a fresh allocation, since it escapes to the
+/// backward pass rather than cycling through a pool.
+///
+/// # Errors
+///
+/// Returns shape errors when operand dimensions are inconsistent.
+///
+/// # Panics
+///
+/// Panics when `patches` has the wrong length.
+pub fn conv2d_keep_patches(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    g: ConvGeometry,
+    patches: &mut [f32],
+    workers: usize,
+) -> Result<Tensor> {
+    let d = conv2d_check(input, weight, bias, g)?;
+    let plan = Lowering::new(&d, workers, true);
+    assert_eq!(
+        patches.len(),
+        plan.cols_len(&d),
+        "patch buffer must hold one [C*K*K, OH*OW] matrix per image"
+    );
+    let mut out = vec![0.0f32; d.out_len()];
+    lower_batch(input, weight, bias, &d, &plan, patches, &mut out);
+    Tensor::from_vec(out, Shape::d4(d.n, d.oc, d.oh, d.ow))
+}
+
+/// How one conv call runs: `tasks` contiguous ranges of `per_task`
+/// images (the last one possibly shorter), and whether each image keeps
+/// its own patch slab (`keep`) or each task reuses one.
+struct Lowering {
+    per_task: usize,
+    tasks: usize,
+    workers: usize,
+    keep: bool,
+}
+
+impl Lowering {
+    /// Images per task follow the gemm kernels' per-task work floor
+    /// (~64k mul-adds), so small convs stay on the caller's thread.
+    fn new(d: &ConvDims, workers: usize, keep: bool) -> Self {
+        let per_task = rows_per_task(d.n, d.oc * d.patch_len(), workers).max(1);
+        Lowering {
+            per_task,
+            tasks: d.n.div_ceil(per_task).max(1),
+            workers,
+            keep,
+        }
+    }
+
+    /// Floats of patch buffer the call needs.
+    fn cols_len(&self, d: &ConvDims) -> usize {
+        let slabs = if self.keep { d.n } else { self.tasks };
+        slabs * d.patch_len()
+    }
+}
+
+/// The lowering behind every conv entry point: for each image, im2col
+/// into a patch slab, seed the output rows with the bias, then
+/// `[OC, CKK] × [CKK, OH·OW]` accumulated straight into the image's NCHW
+/// output slab.
+///
+/// With one task the images run in turn on the caller's thread and each
+/// gemm splits its output rows across the plan's workers (an n = 1 batch
+/// keeps its parallelism this way). With several, the tasks are one pool
+/// batch and each runs serial gemms.
+fn lower_batch(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    d: &ConvDims,
+    plan: &Lowering,
+    cols: &mut [f32],
+    out: &mut [f32],
+) {
+    let x = input.as_slice();
+    let wt = weight.as_slice();
+    let bias = bias.map(|b| b.as_slice());
+    let (image_len, patch_len) = (d.c * d.h * d.w, d.patch_len());
+    let (spatial, slab_len) = (d.spatial(), d.oc * d.spatial());
+    let ckk = d.c * d.g.kernel * d.g.kernel;
+    let run = |first: usize, count: usize, out: &mut [f32], cols: &mut [f32], workers: usize| {
+        for li in 0..count {
+            let ni = first + li;
+            let slab = if plan.keep { li } else { 0 };
+            let patches = &mut cols[slab * patch_len..(slab + 1) * patch_len];
+            im2col_image(
+                &x[ni * image_len..(ni + 1) * image_len],
+                d.c,
+                d.h,
+                d.w,
+                d.g,
+                patches,
+            );
+            let out = &mut out[li * slab_len..(li + 1) * slab_len];
+            if let Some(b) = bias {
+                for (o, &bv) in b.iter().enumerate() {
+                    out[o * spatial..(o + 1) * spatial].fill(bv);
+                }
+            }
+            gemm_acc(wt, patches, d.oc, ckk, spatial, out, workers);
+        }
+    };
+    if plan.tasks == 1 {
+        run(0, d.n, out, cols, plan.workers);
+        return;
+    }
+    let run = &run;
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(plan.tasks);
+    let (mut out_rest, mut cols_rest) = (out, cols);
+    for t in 0..plan.tasks {
+        let first = t * plan.per_task;
+        let count = plan.per_task.min(d.n - first);
+        let slabs = if plan.keep { count } else { 1 };
+        let (task_out, rest) = std::mem::take(&mut out_rest).split_at_mut(count * slab_len);
+        out_rest = rest;
+        let (task_cols, rest) = std::mem::take(&mut cols_rest).split_at_mut(slabs * patch_len);
+        cols_rest = rest;
+        tasks.push(Box::new(move || run(first, count, task_out, task_cols, 1)));
+    }
+    run_scoped(tasks);
 }
 
 /// Naive direct convolution — the oracle the gemm-lowered [`conv2d`] is
@@ -432,7 +626,16 @@ pub fn conv2d_direct(
     bias: Option<&Tensor>,
     g: ConvGeometry,
 ) -> Result<Tensor> {
-    let (n, c, h, w, oc, oh, ow) = conv2d_check(input, weight, bias, g)?;
+    let ConvDims {
+        n,
+        c,
+        h,
+        w,
+        oc,
+        oh,
+        ow,
+        ..
+    } = conv2d_check(input, weight, bias, g)?;
     let k = g.kernel;
     let x = input.as_slice();
     let wt = weight.as_slice();
@@ -826,31 +1029,51 @@ mod tests {
     #[test]
     fn conv2d_ws_reuses_the_im2col_buffer() {
         let mut rng = Rng64::new(41);
-        let input = Tensor::rand_normal(Shape::d4(2, 3, 6, 6), 0.0, 1.0, &mut rng);
-        let weight = Tensor::rand_normal(Shape::d4(4, 3, 3, 3), 0.0, 1.0, &mut rng);
+        // ~166k MACs per image: above the per-task floor, so three
+        // workers really run three tasks with a slab each.
+        let input = Tensor::rand_normal(Shape::d4(4, 8, 12, 12), 0.0, 1.0, &mut rng);
+        let weight = Tensor::rand_normal(Shape::d4(16, 8, 3, 3), 0.0, 1.0, &mut rng);
         let g = ConvGeometry::new(3, 1, 1);
-        let mut ws = Workspace::new();
-        let first = conv2d_ws(&input, &weight, None, g, &mut ws).unwrap();
-        ws.recycle_tensor(first);
-        let allocations = ws.allocations();
-        let second = conv2d_ws(&input, &weight, None, g, &mut ws).unwrap();
-        assert_eq!(
-            ws.allocations(),
-            allocations,
-            "steady-state conv2d forward must not allocate"
-        );
-        assert_eq!(second.shape(), &Shape::d4(2, 4, 6, 6));
+        for workers in [1, 3] {
+            let mut ws = Workspace::new();
+            let first = conv2d_ws_workers(&input, &weight, None, g, &mut ws, workers).unwrap();
+            ws.recycle_tensor(first);
+            let allocations = ws.allocations();
+            let second = conv2d_ws_workers(&input, &weight, None, g, &mut ws, workers).unwrap();
+            assert_eq!(
+                ws.allocations(),
+                allocations,
+                "steady-state conv2d forward must not allocate ({workers} workers)"
+            );
+            assert_eq!(second.shape(), &Shape::d4(4, 16, 12, 12));
+        }
     }
 
     #[test]
     fn im2col_image_matches_batched_im2col() {
         let mut rng = Rng64::new(42);
-        let input = Tensor::rand_normal(Shape::d4(1, 2, 5, 4), 0.0, 1.0, &mut rng);
-        let g = ConvGeometry::new(3, 1, 1);
-        let batched = im2col(&input, g).unwrap();
-        let mut per_image = vec![7.0f32; batched.len()]; // poisoned: every slot must be written
-        im2col_image(input.as_slice(), 2, 5, 4, g, &mut per_image);
-        assert_eq!(per_image, batched.as_slice());
+        // Stride 1 (slice copies) and 2–3 (strided gathers), padding that
+        // leaves whole rows or columns out of bounds, and a kernel wider
+        // than the padded edge.
+        for (c, h, w, k, stride, pad) in [
+            (2, 5, 4, 3, 1, 1),
+            (1, 7, 6, 3, 2, 1),
+            (3, 8, 9, 1, 2, 0),
+            (2, 5, 7, 3, 3, 2),
+            (1, 2, 3, 5, 1, 2),
+            (1, 1, 1, 3, 2, 2),
+        ] {
+            let g = ConvGeometry::new(k, stride, pad);
+            let input = Tensor::rand_normal(Shape::d4(1, c, h, w), 0.0, 1.0, &mut rng);
+            let batched = im2col(&input, g).unwrap();
+            let mut per_image = vec![7.0f32; batched.len()]; // poisoned: every slot must be written
+            im2col_image(input.as_slice(), c, h, w, g, &mut per_image);
+            assert_eq!(
+                per_image,
+                batched.as_slice(),
+                "({c},{h},{w},k{k},s{stride},p{pad})"
+            );
+        }
     }
 
     #[test]

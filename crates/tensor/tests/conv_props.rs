@@ -1,13 +1,16 @@
 //! Property-based equivalence tests for the gemm-lowered convolution.
 //!
-//! The per-image im2col + blocked-gemm [`conv2d`] must be **bit-for-bit**
-//! equal to the naive direct-convolution oracle [`conv2d_direct`] across
-//! ragged shapes, strides and padding (both kernels fix the same
+//! The im2col + gemm [`conv2d`] must be **bit-for-bit** equal to the
+//! naive direct-convolution oracle [`conv2d_direct`] across ragged
+//! shapes, strides and padding (both kernels fix the same
 //! `(channel, ky, kx)` accumulation order from the same bias seed), and
-//! bit-identical to itself for any worker split and for any scratch
-//! workspace state.
+//! bit-identical to itself for any image split, for any scratch
+//! workspace state and whether or not it keeps its patches.
 
-use nds_tensor::conv::{conv2d, conv2d_direct, conv2d_ws, ConvGeometry};
+use nds_tensor::conv::{
+    conv2d, conv2d_direct, conv2d_keep_patches, conv2d_ws, conv2d_ws_workers, im2col_image,
+    ConvGeometry,
+};
 use nds_tensor::rng::Rng64;
 use nds_tensor::{Shape, Tensor, Workspace};
 use proptest::prelude::*;
@@ -33,6 +36,25 @@ fn rand_problem(
     let weight = Tensor::rand_normal(Shape::d4(oc, c, k, k), 0.0, 0.7, &mut rng);
     let bias = Tensor::rand_normal(Shape::d1(oc), 0.0, 0.5, &mut rng);
     (input, weight, bias, g)
+}
+
+/// A zero-channel input is an empty reduction: every output is its bias
+/// seed (or zero), as the direct oracle computes.
+#[test]
+fn zero_channel_conv_is_the_bias() {
+    let g = ConvGeometry::new(3, 1, 1);
+    let input = Tensor::zeros(Shape::d4(2, 0, 4, 4));
+    let weight = Tensor::zeros(Shape::d4(3, 0, 3, 3));
+    let bias = Tensor::from_vec(vec![0.5, -1.0, 2.0], Shape::d1(3)).unwrap();
+    for b in [None, Some(&bias)] {
+        let slow = conv2d_direct(&input, &weight, b, g).unwrap();
+        for workers in [1, 2, 3] {
+            let fast =
+                conv2d_ws_workers(&input, &weight, b, g, &mut Workspace::new(), workers).unwrap();
+            assert_eq!(fast.shape(), &Shape::d4(2, 3, 4, 4));
+            assert_eq!(fast.as_slice(), slow.as_slice(), "workers = {workers}");
+        }
+    }
 }
 
 proptest! {
@@ -113,5 +135,66 @@ proptest! {
         let b = conv2d_ws(&input, &weight, Some(&bias), g, &mut warm).unwrap();
         prop_assert_eq!(fresh.as_slice(), a.as_slice());
         prop_assert_eq!(a.as_slice(), b.as_slice());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Explicit image splits 1–5 are bit-for-bit the direct oracle, on
+    /// ragged batches (including n = 1) and strides 1–2. The channel
+    /// counts put every image above the ~64k-MAC per-task floor, so the
+    /// requested split is the split that runs.
+    #[test]
+    fn image_splits_match_direct_bitwise(
+        seed in 0u64..10_000,
+        n in 1usize..8,
+        c in 9usize..13,
+        oc in 18usize..26,
+        h in 16usize..23,
+        w in 16usize..23,
+        stride in 1usize..3,
+        padding in 0usize..2,
+    ) {
+        let (input, weight, bias, g) = rand_problem(seed, n, c, oc, h, w, 3, stride, padding);
+        let slow = conv2d_direct(&input, &weight, Some(&bias), g).unwrap();
+        let mut ws = Workspace::new();
+        for workers in 1..=5 {
+            let fast = conv2d_ws_workers(&input, &weight, Some(&bias), g, &mut ws, workers).unwrap();
+            prop_assert_eq!(
+                fast.as_slice(),
+                slow.as_slice(),
+                "split {} diverged: n={} c={} oc={} {}x{} s{} p{}",
+                workers, n, c, oc, h, w, stride, padding
+            );
+            ws.recycle_tensor(fast);
+        }
+    }
+
+    /// Keeping the patches (the training forward) changes no output
+    /// byte, and leaves each image's im2col matrix in its own slab, at
+    /// every split. Shapes as above, so splits of 2–4 really run.
+    #[test]
+    fn kept_patches_are_each_images_im2col(
+        seed in 0u64..10_000,
+        n in 1usize..6,
+        c in 9usize..13,
+        oc in 18usize..26,
+        h in 16usize..23,
+        stride in 1usize..3,
+        workers in 1usize..5,
+    ) {
+        let (input, weight, bias, g) = rand_problem(seed, n, c, oc, h, h, 3, stride, 1);
+        let per_image = c * g.kernel * g.kernel * g.out_dim(h) * g.out_dim(h);
+        let mut patches = vec![7.0f32; n * per_image]; // poisoned: all must be written
+        let kept = conv2d_keep_patches(&input, &weight, Some(&bias), g, &mut patches, workers).unwrap();
+        let plain = conv2d(&input, &weight, Some(&bias), g).unwrap();
+        prop_assert_eq!(kept.as_slice(), plain.as_slice());
+        let image_len = c * h * h;
+        let mut expect = vec![0.0f32; per_image];
+        for ni in 0..n {
+            im2col_image(&input.as_slice()[ni * image_len..(ni + 1) * image_len], c, h, h, g, &mut expect);
+            prop_assert_eq!(&patches[ni * per_image..(ni + 1) * per_image], &expect[..]);
+        }
     }
 }
