@@ -1479,6 +1479,27 @@ impl UncertaintyEngine {
         &mut self.net
     }
 
+    /// A new engine around `net` with every one of this engine's settings
+    /// (backend, samples, seed, workers, chunk size, transient retries,
+    /// execution order and adaptive policy) and a fresh workspace and
+    /// clone cache. Serving `net` through it gives the bytes this engine
+    /// would give for the same network state.
+    pub fn with_net(&self, net: Sequential) -> UncertaintyEngine {
+        UncertaintyEngine {
+            net,
+            backend: self.backend.clone(),
+            samples: self.samples,
+            seed: self.seed,
+            workers: self.workers,
+            chunk: self.chunk,
+            transient_retries: self.transient_retries,
+            execution: self.execution,
+            adaptive: self.adaptive.clone(),
+            ws: Workspace::new(),
+            cache: McCloneCache::new(),
+        }
+    }
+
     /// Consumes the engine, returning the network.
     pub fn into_net(self) -> Sequential {
         self.net
@@ -1658,6 +1679,33 @@ mod tests {
             .build();
         let c = again.predict(&PredictRequest::new(&x)).unwrap();
         assert_eq!(b.probs.as_slice(), c.probs.as_slice());
+    }
+
+    #[test]
+    fn with_net_keeps_every_setting() {
+        let mut rng = Rng64::new(4);
+        let x = Tensor::rand_normal(Shape::d4(3, 1, 4, 4), 0.0, 1.0, &mut rng);
+        let mut engine = EngineBuilder::new(stochastic_net(6))
+            .backend(Backend::quantized(6).unwrap())
+            .samples(5)
+            .seed(77)
+            .workers(2)
+            .chunk_size(2)
+            .transient_retries(3)
+            .execution(Execution::SampleMajor)
+            .build();
+        let mut twin = engine.with_net(engine.net().clone());
+        assert_eq!(twin.backend(), engine.backend());
+        assert_eq!(twin.samples(), 5);
+        assert_eq!(twin.seed(), 77);
+        assert_eq!(twin.workers, 2);
+        assert_eq!(twin.chunk, 2);
+        assert_eq!(twin.transient_retries, 3);
+        assert_eq!(twin.execution(), Execution::SampleMajor);
+        assert_eq!(twin.adaptive(), engine.adaptive());
+        let a = engine.predict(&PredictRequest::new(&x)).unwrap();
+        let b = twin.predict(&PredictRequest::new(&x)).unwrap();
+        assert_eq!(a.probs.as_slice(), b.probs.as_slice());
     }
 
     #[test]

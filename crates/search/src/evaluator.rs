@@ -457,6 +457,55 @@ mod tests {
     }
 
     #[test]
+    fn parallel_evaluation_keeps_the_supernet_backend() {
+        use nds_data::{mnist_like, DatasetConfig};
+        use nds_engine::Backend;
+        let splits = mnist_like(&DatasetConfig {
+            train: 48,
+            val: 16,
+            test: 8,
+            seed: 22,
+            noise: 0.05,
+        });
+        let spec = SupernetSpec::paper_default(zoo::lenet(), 32).unwrap();
+        let mut serial_net = Supernet::build(&spec).unwrap();
+        let mut parallel_net = Supernet::build(&spec).unwrap();
+        for net in [&mut serial_net, &mut parallel_net] {
+            net.engine_mut().set_backend(Backend::quantized(4).unwrap());
+        }
+        let ood = splits.val.ood_noise(8, &mut Rng64::new(6));
+        let configs: Vec<DropoutConfig> = ["BBB", "RBM", "KKB"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let mut serial = SupernetEvaluator::new(
+            &mut serial_net,
+            &splits.val,
+            ood.clone(),
+            LatencyProvider::Constant(1.0),
+            8,
+        );
+        let expect: Vec<Candidate> = configs
+            .iter()
+            .map(|c| serial.evaluate(c).unwrap())
+            .collect();
+        let mut parallel = SupernetEvaluator::new(
+            &mut parallel_net,
+            &splits.val,
+            ood,
+            LatencyProvider::Constant(1.0),
+            8,
+        );
+        let got = parallel.evaluate_many_with_workers(&configs, 3).unwrap();
+        for (a, b) in expect.iter().zip(&got) {
+            assert_eq!(
+                a.metrics, b.metrics,
+                "forks must score on the quantized datapath"
+            );
+        }
+    }
+
+    #[test]
     fn exact_provider_matches_model() {
         let model = AcceleratorModel::new(AcceleratorConfig::lenet_paper());
         let arch = zoo::lenet();

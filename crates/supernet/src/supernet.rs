@@ -1,6 +1,6 @@
 use crate::{DropoutConfig, SelectionState, SlotLayer, SupernetError, SupernetSpec};
 use nds_data::Dataset;
-use nds_engine::{EngineBuilder, PredictRequest, UncertaintyEngine};
+use nds_engine::{EngineBuilder, Execution, PredictRequest, UncertaintyEngine};
 use nds_metrics::{accuracy, average_predictive_entropy, ece, EceConfig};
 use nds_nn::layers::Sequential;
 use nds_nn::loss::softmax_cross_entropy;
@@ -53,7 +53,9 @@ pub struct Supernet {
     /// [`UncertaintyEngine::predict`], so the supernet inherits the
     /// engine's warm workspace, persistent worker-clone cache and
     /// serial/parallel byte-identity guarantees. The engine also holds
-    /// the MC sampling number S.
+    /// the MC sampling number S. It scores sample-major: the layers
+    /// before the first dropout slot run once per chunk instead of S
+    /// times, with bytes identical to round-major.
     engine: UncertaintyEngine,
 }
 
@@ -93,6 +95,7 @@ impl Supernet {
             calibration: std::sync::Arc::new(Vec::new()),
             engine: EngineBuilder::new(net)
                 .samples(spec.settings.n_masks)
+                .execution(Execution::SampleMajor)
                 .build(),
         })
     }
@@ -121,6 +124,11 @@ impl Supernet {
     /// detaches on first write; forks are for parallel evaluation, not
     /// training.
     ///
+    /// The fork's engine keeps every setting of the original's
+    /// ([`UncertaintyEngine::with_net`]: backend, sampling number, seed,
+    /// execution order, adaptive policy, retries and worker split), so a
+    /// fork scores every candidate exactly as the original would.
+    ///
     /// # Errors
     ///
     /// Infallible in practice; the `Result` is kept for API stability.
@@ -139,9 +147,7 @@ impl Supernet {
             spec: self.spec.clone(),
             selection,
             calibration: std::sync::Arc::clone(&self.calibration),
-            engine: EngineBuilder::new(net)
-                .samples(self.engine.samples())
-                .build(),
+            engine: self.engine.with_net(net),
         })
     }
 
@@ -502,6 +508,37 @@ mod tests {
         // original untouched.
         fork.set_config(&"BBB".parse().unwrap()).unwrap();
         assert_eq!(original.active_config(), config);
+    }
+
+    #[test]
+    fn fork_keeps_the_engine_serving_configuration() {
+        use nds_engine::Backend;
+        let splits = mnist_like(&DatasetConfig {
+            train: 64,
+            val: 24,
+            test: 16,
+            seed: 19,
+            noise: 0.05,
+        });
+        let mut original = lenet_supernet(18);
+        let mut ood_rng = Rng64::new(78);
+        let ood = splits.val.ood_noise(8, &mut ood_rng);
+        let config: DropoutConfig = "KBM".parse().unwrap();
+        let float = original.evaluate(&config, &splits.val, &ood, 8).unwrap();
+        original
+            .engine_mut()
+            .set_backend(Backend::quantized(4).unwrap());
+        original.engine_mut().set_execution(Execution::RoundMajor);
+        let quantized = original.evaluate(&config, &splits.val, &ood, 8).unwrap();
+        assert_ne!(float, quantized, "a coarse datapath must move the metrics");
+        let mut fork = original.fork().unwrap();
+        assert_eq!(fork.engine_mut().backend(), original.engine_mut().backend());
+        assert_eq!(fork.engine_mut().execution(), Execution::RoundMajor);
+        let forked = fork.evaluate(&config, &splits.val, &ood, 8).unwrap();
+        assert_eq!(
+            forked, quantized,
+            "a fork must score on its parent's backend"
+        );
     }
 
     #[test]

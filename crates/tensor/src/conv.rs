@@ -32,6 +32,20 @@
 //! so results are **bit-identical for any worker count** and bit-identical
 //! to the naive [`conv2d_direct`] oracle (property-tested in
 //! `tests/conv_props.rs`).
+//!
+//! [`im2col_image`] walks taps outermost: each `(ky, kx)` tap's valid
+//! output range is computed once per image and shared by every channel,
+//! and its rows are copied in fixed 8-float chunks. The rows are short —
+//! LeNet conv2's are 8 floats — so the lowering was costing more than
+//! its gemm when each row paid a `memcpy` call and the range divisions.
+//!
+//! Max pooling has one window walk, [`max_pool2d`] with argmax for
+//! training and [`max_pool2d_ws`] without it for inference. It walks an
+//! output row's windows together, one window row at a time, so the inner
+//! loop runs over independent windows; padding reads as `-inf`, so edge
+//! windows take the same loop. Its NaN-wins compare is a select rather
+//! than a branch on the data. Both entry points are property-tested
+//! against a naive reference in `tests/pool_props.rs`.
 
 use crate::ops::{gemm_acc, rows_per_task};
 use crate::parallel::{run_scoped, worker_count};
@@ -109,10 +123,14 @@ fn valid_range(out_len: usize, in_len: usize, tap: usize, g: ConvGeometry) -> (u
 ///
 /// This is the per-image building block [`conv2d`] loops over; the
 /// whole-batch [`im2col`] remains for callers that need the batched
-/// layout. Each `(ky, kx)` row's in-bounds output range is computed once:
-/// the padded edges are zero-filled and the interior is copied — a slice
-/// copy at stride 1, a strided gather otherwise — with no per-element
-/// bounds test.
+/// layout. The walk is tap-major: `(ky, kx)` is the outer loop, so each
+/// tap's in-bounds output range is computed once per call and shared by
+/// every channel. A row whose tap reads padding is zeroed once, then its
+/// interior is copied over the zeros; a row with no padding is copied
+/// without zeroing. Interior copies at stride 1 move fixed 8-float
+/// chunks plus a scalar tail — output rows are short (8 floats for LeNet
+/// conv2), where a `memcpy` call per row would cost more than the copy —
+/// and a strided gather otherwise, with no per-element bounds test.
 ///
 /// # Panics
 ///
@@ -122,40 +140,57 @@ pub fn im2col_image(img: &[f32], c: usize, h: usize, w: usize, g: ConvGeometry, 
     let k = g.kernel;
     let oh = g.out_dim(h);
     let ow = g.out_dim(w);
+    let plane = oh * ow;
     debug_assert_eq!(img.len(), c * h * w);
-    debug_assert_eq!(out.len(), c * k * k * oh * ow);
-    for ci in 0..c {
-        let chan = &img[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..k {
-            let (oy_lo, oy_hi) = valid_range(oh, h, ky, g);
-            for kx in 0..k {
-                let (ox_lo, ox_hi) = valid_range(ow, w, kx, g);
+    debug_assert_eq!(out.len(), c * k * k * plane);
+    for ky in 0..k {
+        let (oy_lo, oy_hi) = valid_range(oh, h, ky, g);
+        for kx in 0..k {
+            let (ox_lo, ox_hi) = valid_range(ow, w, kx, g);
+            let span = ox_hi - ox_lo;
+            let padded = oy_lo > 0 || oy_hi < oh || span < ow;
+            for ci in 0..c {
                 let row = (ci * k + ky) * k + kx;
-                let orow = &mut out[row * oh * ow..(row + 1) * oh * ow];
-                orow[..oy_lo * ow].fill(0.0);
-                orow[oy_hi * ow..].fill(0.0);
+                let orow = &mut out[row * plane..(row + 1) * plane];
+                if padded {
+                    orow.fill(0.0);
+                }
+                if span == 0 {
+                    continue;
+                }
+                let chan = &img[ci * h * w..(ci + 1) * h * w];
                 for oy in oy_lo..oy_hi {
-                    let iy = oy * g.stride + ky - g.padding;
-                    let src = &chan[iy * w..(iy + 1) * w];
-                    let dst = &mut orow[oy * ow..(oy + 1) * ow];
-                    dst[..ox_lo].fill(0.0);
-                    dst[ox_hi..].fill(0.0);
-                    if ox_lo == ox_hi {
-                        continue;
-                    }
-                    let ix0 = ox_lo * g.stride + kx - g.padding;
-                    let interior = &mut dst[ox_lo..ox_hi];
+                    let src = oy * g.stride + ky - g.padding;
+                    let src = &chan[src * w + ox_lo * g.stride + kx - g.padding..(src + 1) * w];
+                    let dst = &mut orow[oy * ow + ox_lo..oy * ow + ox_hi];
                     if g.stride == 1 {
-                        interior.copy_from_slice(&src[ix0..ix0 + interior.len()]);
+                        copy_short(dst, &src[..span]);
                     } else {
-                        for (d, &v) in interior.iter_mut().zip(src[ix0..].iter().step_by(g.stride))
-                        {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(g.stride)) {
                             *d = v;
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// Copies a short row in fixed 8-float chunks plus a scalar tail. The
+/// fixed-size chunks compile to register moves; a slice copy of a
+/// runtime length would call `memcpy` for every few floats.
+#[inline(always)]
+fn copy_short(dst: &mut [f32], src: &[f32]) {
+    debug_assert_eq!(dst.len(), src.len());
+    let mut d = dst.chunks_exact_mut(8);
+    let mut s = src.chunks_exact(8);
+    for (dc, sc) in (&mut d).zip(&mut s) {
+        let dc: &mut [f32; 8] = dc.try_into().expect("chunk of 8");
+        let sc: &[f32; 8] = sc.try_into().expect("chunk of 8");
+        *dc = *sc;
+    }
+    for (dv, &sv) in d.into_remainder().iter_mut().zip(s.remainder()) {
+        *dv = sv;
     }
 }
 
@@ -686,76 +721,65 @@ pub struct MaxPoolOutput {
     pub argmax: Vec<usize>,
 }
 
-/// Max pooling over an NCHW tensor.
+/// Max pooling over an NCHW tensor, with the argmax indices the
+/// backward pass routes gradients through.
+///
+/// Each window is walked in ascending `(ky, kx)` order over its
+/// in-bounds taps with a NaN-wins select: a tap replaces the running
+/// maximum when it is larger or NaN. So a poisoned window reports NaN
+/// (the last NaN in walk order, payload included) rather than silently
+/// picking a finite value, and among equal values (`-0.0` and `+0.0`,
+/// or a window of `-inf`) the first is kept. The argmax is the flat
+/// input index of the kept tap; a window that lies wholly in the
+/// padding outputs `-inf` with argmax 0.
 ///
 /// # Errors
 ///
 /// Returns shape errors when the window does not fit.
 pub fn max_pool2d(input: &Tensor, g: ConvGeometry) -> Result<MaxPoolOutput> {
-    let (n, c, h, w) = input.shape().as_nchw().ok_or(TensorError::RankMismatch {
-        op: "max_pool2d",
-        expected: 4,
-        actual: input.shape().rank(),
-    })?;
-    let oh = g.out_dim(h);
-    let ow = g.out_dim(w);
-    if oh == 0 || ow == 0 {
-        return Err(TensorError::InvalidArgument {
-            op: "max_pool2d",
-            msg: format!("window {} does not fit input {h}x{w}", g.kernel),
-        });
-    }
-    let x = input.as_slice();
-    let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
+    let (n, c, h, w, oh, ow) = max_pool_dims(input, g)?;
+    let mut out = vec![0.0f32; n * c * oh * ow];
     let mut argmax = vec![0usize; n * c * oh * ow];
-    for ni in 0..n {
-        for ci in 0..c {
-            let img_base = (ni * c + ci) * h * w;
-            let out_base = (ni * c + ci) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for ky in 0..g.kernel {
-                        let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..g.kernel {
-                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let idx = img_base + iy as usize * w + ix as usize;
-                            // NaN wins and sticks: a poisoned window must
-                            // report NaN, not silently pick a finite value.
-                            if x[idx] > best || x[idx].is_nan() {
-                                best = x[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    out[out_base + oy * ow + ox] = best;
-                    argmax[out_base + oy * ow + ox] = best_idx;
-                }
-            }
-        }
-    }
+    let mut padded = vec![0.0f32; padded_row_len(w, g)];
+    let dims = [n * c, h, w];
+    max_pool_planes::<true>(
+        input.as_slice(),
+        dims,
+        g,
+        &mut out,
+        &mut argmax,
+        &mut padded,
+    );
     Ok(MaxPoolOutput {
         output: Tensor::from_vec(out, Shape::d4(n, c, oh, ow))?,
         argmax,
     })
 }
 
-/// Inference-path max pooling: identical outputs to [`max_pool2d`]
-/// (same window walk, same NaN-wins rule) but skips the argmax
-/// bookkeeping — backward never runs at inference — and draws the output
-/// from the workspace pool so steady-state forwards do not allocate.
+/// Inference-path max pooling: identical outputs to [`max_pool2d`] — the
+/// same window walk and NaN-wins select, instantiated without the argmax
+/// bookkeeping (backward never runs at inference) — with the output and
+/// the padded-row scratch drawn from the workspace pool so steady-state
+/// forwards do not allocate.
 ///
 /// # Errors
 ///
 /// Returns shape errors when the window does not fit.
 pub fn max_pool2d_ws(input: &Tensor, g: ConvGeometry, workspace: &mut Workspace) -> Result<Tensor> {
+    let (n, c, h, w, oh, ow) = max_pool_dims(input, g)?;
+    let mut out = workspace.take_dirty(n * c * oh * ow);
+    let mut padded = workspace.take_dirty(padded_row_len(w, g));
+    let dims = [n * c, h, w];
+    max_pool_planes::<false>(input.as_slice(), dims, g, &mut out, &mut [], &mut padded);
+    workspace.recycle(padded);
+    Tensor::from_vec(out, Shape::d4(n, c, oh, ow))
+}
+
+/// Validates a max-pool input and returns `(n, c, h, w, oh, ow)`.
+fn max_pool_dims(
+    input: &Tensor,
+    g: ConvGeometry,
+) -> Result<(usize, usize, usize, usize, usize, usize)> {
     let (n, c, h, w) = input.shape().as_nchw().ok_or(TensorError::RankMismatch {
         op: "max_pool2d",
         expected: 4,
@@ -769,62 +793,153 @@ pub fn max_pool2d_ws(input: &Tensor, g: ConvGeometry, workspace: &mut Workspace)
             msg: format!("window {} does not fit input {h}x{w}", g.kernel),
         });
     }
-    let x = input.as_slice();
-    let mut out = workspace.take_dirty(n * c * oh * ow);
+    Ok((n, c, h, w, oh, ow))
+}
+
+/// Length of the padded-row scratch [`max_pool_walk`] needs: a row with
+/// its padding on both sides, or nothing when there is no padding.
+fn padded_row_len(w: usize, g: ConvGeometry) -> usize {
     if g.padding == 0 {
-        // Unpadded windows are fully in-bounds by `out_dim` construction,
-        // so the per-tap boundary tests vanish: walk each window row as a
-        // slice. Same `(ky, kx)`-ascending compare order and NaN-wins
-        // rule as the general path — identical outputs.
-        for chan in 0..n * c {
-            let img = &x[chan * h * w..(chan + 1) * h * w];
-            let orows = &mut out[chan * oh * ow..(chan + 1) * oh * ow];
-            for oy in 0..oh {
-                let iy0 = oy * g.stride;
-                for (ox, o) in orows[oy * ow..(oy + 1) * ow].iter_mut().enumerate() {
-                    let ix0 = ox * g.stride;
-                    let mut best = f32::NEG_INFINITY;
-                    for ky in 0..g.kernel {
-                        let row = &img[(iy0 + ky) * w + ix0..(iy0 + ky) * w + ix0 + g.kernel];
-                        for &v in row {
-                            best = if v > best || v.is_nan() { v } else { best };
-                        }
-                    }
-                    *o = best;
+        0
+    } else {
+        w + 2 * g.padding
+    }
+}
+
+/// Max-pools the `dims = [planes, H, W]` contiguous planes of `x` into `out`
+/// (and, when `ARG`, their flat argmax into `argmax`), dispatching to a
+/// walk specialised for windows of width and stride 2 (every pool in the
+/// model zoo); any other geometry takes the runtime walk. `padded` is
+/// scratch of [`padded_row_len`] floats.
+fn max_pool_planes<const ARG: bool>(
+    x: &[f32],
+    dims: [usize; 3],
+    g: ConvGeometry,
+    out: &mut [f32],
+    argmax: &mut [usize],
+    padded: &mut [f32],
+) {
+    if g.kernel == 2 && g.stride == 2 {
+        max_pool_walk::<2, ARG>(x, dims, g, out, argmax, padded);
+    } else {
+        max_pool_walk::<0, ARG>(x, dims, g, out, argmax, padded);
+    }
+}
+
+/// The one max-pool window walk. `K` is the window width and stride
+/// (0: read both from `g` at run time), so the tap loop unrolls and the
+/// input step is a constant in the instantiated walk.
+///
+/// Each output row's windows are walked together, one window row at a
+/// time: for every window row `y` in ascending order, each window folds
+/// in its `k` taps of that row in ascending `kx`, so each window sees its
+/// taps in ascending `(ky, kx)` order, exactly as a walk window by window
+/// would, while the inner loop runs over independent windows. With
+/// padding, the row is first copied between `-inf` borders into
+/// `padded`; a `-inf` tap never wins the select, so edge windows need no
+/// separate path.
+fn max_pool_walk<const K: usize, const ARG: bool>(
+    x: &[f32],
+    dims: [usize; 3],
+    g: ConvGeometry,
+    out: &mut [f32],
+    argmax: &mut [usize],
+    padded: &mut [f32],
+) {
+    let [planes, h, w] = dims;
+    let (k, step) = if K == 0 { (g.kernel, g.stride) } else { (K, K) };
+    let oh = g.out_dim(h);
+    let ow = g.out_dim(w);
+    let pad = g.padding;
+    if pad > 0 {
+        padded[..pad].fill(f32::NEG_INFINITY);
+        padded[pad + w..].fill(f32::NEG_INFINITY);
+    }
+    for p in 0..planes {
+        let base = p * h * w;
+        let img = &x[base..base + h * w];
+        for oy in 0..oh {
+            let (iy, ys) = window_taps(oy, h, k, g);
+            let o = (p * oh + oy) * ow;
+            let best = &mut out[o..o + ow];
+            best.fill(f32::NEG_INFINITY);
+            let idx: &mut [usize] = if ARG { &mut argmax[o..o + ow] } else { &mut [] };
+            // The argmax starts at each window's first in-bounds tap, so
+            // a window of -inf reports that tap; a window wholly in the
+            // padding reports 0.
+            for (ox, i) in idx.iter_mut().enumerate() {
+                let start = ox * step;
+                let ix = start.max(pad) - pad;
+                let inside = ys > 0 && start + k > pad && ix < w;
+                *i = if inside { base + iy * w + ix } else { 0 };
+            }
+            for y in iy..iy + ys {
+                let mut row = &img[y * w..(y + 1) * w];
+                if pad > 0 {
+                    padded[pad..pad + w].copy_from_slice(row);
+                    row = padded;
+                }
+                // Flat index of the row's first tap; taps in the padding
+                // wrap, but a -inf tap never wins.
+                let first = (base + y * w).wrapping_sub(pad);
+                if step == k {
+                    fold_row::<ARG>(row.chunks_exact(k), first, step, best, idx);
+                } else {
+                    fold_row::<ARG>(row.windows(k).step_by(step), first, step, best, idx);
                 }
             }
         }
-        return Tensor::from_vec(out, Shape::d4(n, c, oh, ow));
     }
-    for ni in 0..n {
-        for ci in 0..c {
-            let img_base = (ni * c + ci) * h * w;
-            let out_base = (ni * c + ci) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for ky in 0..g.kernel {
-                        let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..g.kernel {
-                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let idx = img_base + iy as usize * w + ix as usize;
-                            if x[idx] > best || x[idx].is_nan() {
-                                best = x[idx];
-                            }
-                        }
-                    }
-                    out[out_base + oy * ow + ox] = best;
-                }
-            }
+}
+
+/// Folds one row of taps into the running maxima of a row of windows:
+/// `windows` yields each window's taps in that row, which start at flat
+/// index `first + ox * step` for window `ox`.
+#[inline(always)]
+fn fold_row<'a, const ARG: bool>(
+    windows: impl Iterator<Item = &'a [f32]>,
+    first: usize,
+    step: usize,
+    best: &mut [f32],
+    idx: &mut [usize],
+) {
+    if ARG {
+        // The zip starts from the slices: started from `windows`, this
+        // loop ran about a quarter slower.
+        for (ox, ((b, i), taps)) in best.iter_mut().zip(idx.iter_mut()).zip(windows).enumerate() {
+            select_taps::<ARG>(taps, first.wrapping_add(ox * step), b, i);
+        }
+    } else {
+        for (taps, b) in windows.zip(best) {
+            select_taps::<ARG>(taps, 0, b, &mut 0);
         }
     }
-    Tensor::from_vec(out, Shape::d4(n, c, oh, ow))
+}
+
+/// The in-bounds taps of the window at output position `o` along a
+/// dimension of length `len`: the first input index they read and how
+/// many there are (0 for a window wholly in the padding).
+fn window_taps(o: usize, len: usize, k: usize, g: ConvGeometry) -> (usize, usize) {
+    let start = o * g.stride;
+    let lo = g.padding.saturating_sub(start).min(k);
+    let hi = (len + g.padding).saturating_sub(start).min(k).max(lo);
+    ((start + lo).saturating_sub(g.padding), hi - lo)
+}
+
+/// Folds one window row into a running maximum with the NaN-wins
+/// compare done as a select, not a branch: a tap wins when it is larger
+/// than `best` or is NaN, so the last NaN wins and the first of equal
+/// values is kept. With `ARG`, `idx` follows the winner (`first` is the
+/// flat index of `taps[0]`).
+#[inline(always)]
+fn select_taps<const ARG: bool>(taps: &[f32], first: usize, best: &mut f32, idx: &mut usize) {
+    for (t, &v) in taps.iter().enumerate() {
+        let wins = v > *best || v.is_nan();
+        *best = if wins { v } else { *best };
+        if ARG {
+            *idx = if wins { first.wrapping_add(t) } else { *idx };
+        }
+    }
 }
 
 /// Global average pooling: `[N, C, H, W] → [N, C]`.
@@ -1052,17 +1167,30 @@ mod tests {
     #[test]
     fn im2col_image_matches_batched_im2col() {
         let mut rng = Rng64::new(42);
-        // Stride 1 (slice copies) and 2–3 (strided gathers), padding that
-        // leaves whole rows or columns out of bounds, and a kernel wider
-        // than the padded edge.
-        for (c, h, w, k, stride, pad) in [
+        // Stride 1 (chunked copies) and 2–3 (strided gathers), padding
+        // that leaves whole rows or columns out of bounds, and a kernel
+        // wider than the padded edge.
+        let mut cases = vec![
             (2, 5, 4, 3, 1, 1),
             (1, 7, 6, 3, 2, 1),
             (3, 8, 9, 1, 2, 0),
             (2, 5, 7, 3, 3, 2),
             (1, 2, 3, 5, 1, 2),
             (1, 1, 1, 3, 2, 2),
-        ] {
+        ];
+        // Output widths 1–17 on both sides of the 8-float copy chunk (plus
+        // the padding's extra columns), at strides 1 and 2: unpadded, and
+        // with kernels overhanging the padded edge — a 1-wide kernel in 2
+        // of padding reads only zeros on its border outputs.
+        for ow in 1usize..=17 {
+            for stride in [1, 2] {
+                let w = (ow - 1) * stride + 1;
+                cases.push((2, 6, w + 4, 5, stride, 0));
+                cases.push((1, 2, w, 3, stride, 1));
+                cases.push((1, 3, w, 1, stride, 2));
+            }
+        }
+        for (c, h, w, k, stride, pad) in cases {
             let g = ConvGeometry::new(k, stride, pad);
             let input = Tensor::rand_normal(Shape::d4(1, c, h, w), 0.0, 1.0, &mut rng);
             let batched = im2col(&input, g).unwrap();

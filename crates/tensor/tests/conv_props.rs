@@ -8,7 +8,7 @@
 //! workspace state and whether or not it keeps its patches.
 
 use nds_tensor::conv::{
-    conv2d, conv2d_direct, conv2d_keep_patches, conv2d_ws, conv2d_ws_workers, im2col_image,
+    conv2d, conv2d_direct, conv2d_keep_patches, conv2d_ws, conv2d_ws_workers, im2col, im2col_image,
     ConvGeometry,
 };
 use nds_tensor::rng::Rng64;
@@ -196,5 +196,52 @@ proptest! {
             im2col_image(&input.as_slice()[ni * image_len..(ni + 1) * image_len], c, h, h, g, &mut expect);
             prop_assert_eq!(&patches[ni * per_image..(ni + 1) * per_image], &expect[..]);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Short output rows: widths 1–17 cross `im2col_image`'s 8-float copy
+    /// chunk on both sides, at strides 1 and 2, with padding up to 2 so
+    /// kernels overhang the padded edge and some taps read no input row
+    /// or column at all. Each image's patch matrix is the batched
+    /// [`im2col`]'s slice of columns, and the conv is the direct oracle,
+    /// bit for bit.
+    #[test]
+    fn short_rows_match_batched_im2col_and_direct(
+        seed in 0u64..10_000,
+        n in 1usize..3,
+        c in 1usize..4,
+        h in 1usize..6,
+        ow in 1usize..18,
+        k in 1usize..6,
+        stride in 1usize..3,
+        padding in 0usize..3,
+    ) {
+        // The input width that gives `ow` output columns (or the nearest
+        // when that width would be empty).
+        let w = ((ow - 1) * stride + k).saturating_sub(2 * padding).max(1);
+        let (input, weight, bias, g) = rand_problem(seed, n, c, 3, h, w, k, stride, padding);
+        let plane = g.out_dim(h) * g.out_dim(w);
+        let rows = c * g.kernel * g.kernel;
+        let batched = im2col(&input, g).unwrap();
+        let image_len = c * h * w;
+        let mut per_image = vec![7.0f32; rows * plane]; // poisoned: all must be written
+        for ni in 0..n {
+            im2col_image(&input.as_slice()[ni * image_len..(ni + 1) * image_len], c, h, w, g, &mut per_image);
+            for r in 0..rows {
+                let cols = &batched.as_slice()[r * n * plane + ni * plane..r * n * plane + (ni + 1) * plane];
+                prop_assert_eq!(
+                    &per_image[r * plane..(r + 1) * plane],
+                    cols,
+                    "image {} row {}: {}x{} k{} s{} p{}",
+                    ni, r, h, w, g.kernel, stride, padding
+                );
+            }
+        }
+        let fast = conv2d(&input, &weight, Some(&bias), g).unwrap();
+        let slow = conv2d_direct(&input, &weight, Some(&bias), g).unwrap();
+        prop_assert_eq!(fast.as_slice(), slow.as_slice());
     }
 }
